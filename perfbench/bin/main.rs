@@ -28,7 +28,7 @@ use sirtm_scenario::run_spec;
 use sirtm_scenario::telemetry::SimCounters;
 
 /// Set-up repetitions; `setup_s` is their median.
-const SETUP_REPS: usize = 5;
+const SETUP_REPS: usize = 7;
 
 #[derive(Debug)]
 struct Args {
@@ -235,42 +235,37 @@ fn result_line(correct: bool, attempted: usize, failed: usize, metrics: &[Metric
     ])
 }
 
-/// The end-to-end run: set-up, then closed-loop ops for `--seconds`,
-/// then the output check.
+/// One set-up, timed from `start`: input generation, validation and one
+/// warm-up op of input 0.
+fn set_up(
+    workload: Workload,
+    seed: u64,
+    start: Instant,
+    dir: &Path,
+) -> (Vec<Input>, f64, Result<OpOutput, String>) {
+    let inputs = workload::inputs(workload, seed);
+    let warm = guarded_op(&inputs[0], dir);
+    (inputs, start.elapsed().as_secs_f64(), warm)
+}
+
+/// The end-to-end run: set-up, then closed-loop ops for `--seconds`
+/// with the further set-ups spread across them, then the output check.
 fn end_to_end(
     workload: Workload,
     args: &Args,
     work_dir: &Path,
     process_start: Instant,
 ) -> ExitCode {
-    // Set-up: input generation, validation and one warm-up op,
-    // repeated; the first repetition starts at process start.
-    let mut setup_s = Vec::new();
-    let mut inputs = Vec::new();
-    let mut first: BTreeMap<usize, OpOutput> = BTreeMap::new();
+    // The first set-up starts at process start.
+    let (inputs, first_setup_s, warm) = set_up(
+        workload,
+        args.seed,
+        process_start,
+        &work_dir.join("setup-0"),
+    );
+    let mut setup_s = vec![first_setup_s];
+    let mut warm_ups = vec![warm];
     let mut problems: Vec<String> = Vec::new();
-    for r in 0..SETUP_REPS {
-        let start = if r == 0 {
-            process_start
-        } else {
-            Instant::now()
-        };
-        inputs = workload::inputs(workload, args.seed);
-        let warm = guarded_op(&inputs[0], &work_dir.join(format!("setup-{r}")));
-        setup_s.push(start.elapsed().as_secs_f64());
-        match warm {
-            Ok(out) => {
-                if let Some(prev) = first.get(&0) {
-                    if *prev != out {
-                        problems.push("warm-up ops of input 0 disagree".to_string());
-                    }
-                } else {
-                    first.insert(0, out);
-                }
-            }
-            Err(e) => problems.push(format!("warm-up op failed: {e}")),
-        }
-    }
     let pins = if args.seed == DEFAULT_SEED {
         match workload::pinned(workload) {
             Ok(p) => Some(p),
@@ -284,12 +279,33 @@ fn end_to_end(
     };
 
     // Timed phase: one client, next op when the previous one finishes.
+    // Set-up `r` runs once `r / SETUP_REPS` of the phase has passed, so
+    // the set-ups sample the host across the whole run; their time is
+    // not op time.
+    let mut first: BTreeMap<usize, OpOutput> = BTreeMap::new();
     let mut op_ms = Vec::new();
     let mut op_input = Vec::new();
     let mut op_ok = Vec::new();
+    let mut setup_time = Duration::ZERO;
+    let phase = Duration::from_secs_f64(args.seconds);
     let phase_start = Instant::now();
-    let deadline = phase_start + Duration::from_secs_f64(args.seconds);
-    while Instant::now() < deadline {
+    let deadline = phase_start + phase;
+    loop {
+        let r = setup_s.len();
+        let now = Instant::now();
+        let setup_due =
+            now >= deadline || now - phase_start >= phase * r as u32 / SETUP_REPS as u32;
+        if r < SETUP_REPS && setup_due {
+            let dir = work_dir.join(format!("setup-{r}"));
+            let (_, secs, warm) = set_up(workload, args.seed, now, &dir);
+            setup_s.push(secs);
+            warm_ups.push(warm);
+            setup_time += now.elapsed();
+            continue;
+        }
+        if now >= deadline {
+            break;
+        }
         let k = op_ms.len();
         let i = k % inputs.len();
         let dir = work_dir.join(format!("op-{k}"));
@@ -318,11 +334,24 @@ fn end_to_end(
         op_input.push(i);
         op_ok.push(ok);
     }
-    let timed_s = phase_start.elapsed().as_secs_f64();
+    let timed_s = (phase_start.elapsed() - setup_time).as_secs_f64();
+
+    // Every warm-up op must agree with the timed ops of input 0.
+    for warm in warm_ups {
+        match warm {
+            Ok(out) => {
+                if first.entry(0).or_insert_with(|| out.clone()) != &out {
+                    problems.push("a warm-up op of input 0 disagrees".to_string());
+                }
+            }
+            Err(e) => problems.push(format!("warm-up op failed: {e}")),
+        }
+    }
 
     // Output check, untimed: inputs the timed phase never reached still
     // enter the digest, and every input meets its independent reference.
     let mut digests = Vec::new();
+    let mut throughputs = Vec::new();
     let mut sim_total = SimCounters::default();
     for (i, input) in inputs.iter().enumerate() {
         let out = match first.get(&i) {
@@ -351,6 +380,7 @@ fn end_to_end(
             }
         }
         digests.push(out.digest);
+        throughputs.push(out.throughput);
     }
     let digest = workload::outputs_digest(&digests);
     let runs: usize = op_input
@@ -386,14 +416,17 @@ fn end_to_end(
         failed as f64 / attempted as f64
     };
     // The gated metrics (BENCHMARK.json's `end_to_end`) first, then the
-    // ones too noisy to gate on (see README.md).
+    // host timings, which this host's noise keeps from being gated (see
+    // README.md).
+    let throughput = throughputs.iter().sum::<f64>() / throughputs.len().max(1) as f64;
     let metrics = vec![
         Metric::new("setup_s", "s", quantile(&setup_s, 0.5).expect("set-up ran")),
-        Metric::new("runs_per_s", "1/s", runs as f64 / timed_s),
+        Metric::new("sim_throughput", "sinks/ms", throughput),
         Metric::new("peak_rss_mb", "MB", peak_rss_mb()),
     ];
     let p10 = quantile(&op_ms, 0.1).unwrap_or(0.0);
     let reported = vec![
+        Metric::new("runs_per_s", "1/s", runs as f64 / timed_s),
         Metric::new("op_ms_p10", "ms", p10),
         Metric::new("op_ms_p50", "ms", q.p50),
         Metric::new("op_ms_p75", "ms", q.p75),

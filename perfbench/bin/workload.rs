@@ -257,6 +257,9 @@ pub struct OpOutput {
     /// The run's counters (preset ops only; a dispatch does not expose
     /// per-run counters).
     pub sim: Option<SimCounters>,
+    /// Simulated end-of-run throughput in sinks per simulated ms: the
+    /// run's `final_rate`, or the mean over a dispatched sweep's runs.
+    pub throughput: f64,
 }
 
 /// Runs one op of `input`. `dir` is a fresh directory the dispatch
@@ -272,6 +275,7 @@ pub fn run_op(input: &Input, dir: &Path) -> Result<OpOutput, String> {
             Ok(OpOutput {
                 digest: run_digest(&outcome),
                 sim: Some(outcome.sim),
+                throughput: outcome.summary().final_rate,
             })
         }
         Input::Dispatch(sweep) => {
@@ -280,9 +284,16 @@ pub fn run_op(input: &Input, dir: &Path) -> Result<OpOutput, String> {
                 .map(|m| Box::new(m) as Box<dyn ShardTransport>)
                 .collect();
             let outcome = run_dispatch(sweep, &mut workers)?;
+            let rates: Vec<f64> = outcome
+                .result
+                .cells
+                .iter()
+                .flat_map(|c| c.runs.iter().map(|r| r.final_rate))
+                .collect();
             Ok(OpOutput {
                 digest: artefact_digest(&outcome.result.to_json().render_pretty()),
                 sim: None,
+                throughput: rates.iter().sum::<f64>() / rates.len().max(1) as f64,
             })
         }
     }

@@ -173,6 +173,44 @@ fn digest_is_identical_across_two_invocations() {
 }
 
 #[test]
+fn result_line_carries_every_end_to_end_metric() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json");
+    let text = std::fs::read_to_string(path).expect("BENCHMARK.json at the repository root");
+    let doc = json::parse(&text).expect("valid JSON");
+    let field = |m: &Json, k: &str| m.get(k).and_then(Json::as_str).expect(k).to_string();
+    let listed: Vec<(String, String)> = doc
+        .get("end_to_end")
+        .and_then(Json::as_arr)
+        .expect("end_to_end")
+        .iter()
+        .map(|m| (field(m, "name"), field(m, "unit")))
+        .collect();
+    let cwd = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("e2e-cwd");
+    std::fs::create_dir_all(&cwd).expect("cwd");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sirtm-perfbench"))
+        .args(["--workload", "steady-state", "--seed", "3"])
+        .args(["--seconds", "1", "--trace", "0"])
+        .current_dir(&cwd)
+        .output()
+        .expect("benchmark runs");
+    assert!(out.status.success(), "exit status {:?}", out.status);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let result = json::parse(stdout.lines().last().expect("a result line")).expect("JSON");
+    let Some(Json::Obj(metrics)) = result.get("metrics") else {
+        panic!("no metrics object in {result:?}");
+    };
+    let printed: Vec<(String, String)> = metrics
+        .iter()
+        .map(|(name, m)| {
+            let value = m.get("value").and_then(Json::as_num).expect("value");
+            assert!(value > 0.0, "{name} = {value}");
+            (name.clone(), field(m, "unit"))
+        })
+        .collect();
+    assert_eq!(printed, listed);
+}
+
+#[test]
 fn benchmark_json_lists_every_layer_metric() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json");
     let text = std::fs::read_to_string(path).expect("BENCHMARK.json at the repository root");
