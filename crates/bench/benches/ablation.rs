@@ -1,7 +1,7 @@
-//! Ablation benches for the design choices DESIGN.md §7 calls out. Each
-//! bench's *throughput anchor* (printed once per variant) is the
-//! scientifically interesting output; the timing shows the cost of each
-//! variant.
+//! Ablation benches for the simulator's own design choices (destination
+//! resolution, opportunistic delivery, ...). Each bench's *throughput
+//! anchor* (printed once per variant) is the scientifically interesting
+//! output; the timing shows the cost of each variant.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -22,8 +22,8 @@ fn run_with(cfg: &ExperimentConfig, model: ModelKind, faults: usize, seed: u64) 
     ))
 }
 
-/// Nearest vs round-robin destination resolution (DESIGN.md: the
-/// starvation signal FFW feeds on needs spatial work gradients).
+/// Nearest vs round-robin destination resolution (the starvation signal
+/// FFW feeds on needs spatial work gradients).
 fn ablation_send_policy(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_send_policy");
     group.sample_size(10);
@@ -49,7 +49,7 @@ fn ablation_send_policy(c: &mut Criterion) {
     group.finish();
 }
 
-/// Task-affine opportunistic delivery on/off (DESIGN.md R3): without
+/// Task-affine opportunistic delivery on/off: without
 /// absorption, mis-delivered work is dropped instead of adopted.
 fn ablation_opportunistic(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_opportunistic_delivery");

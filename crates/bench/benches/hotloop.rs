@@ -2,10 +2,10 @@
 //! ([`Platform::run_cycles`]) against the retained naive reference
 //! ([`Platform::step_naive`]) across grid sizes and load levels.
 //!
-//! `BENCH_hotloop.json` (checked in at the repo root) is produced by the
-//! `hotloop` binary in `sirtm-experiments`, which wall-clocks the same
-//! configurations; this criterion target tracks the same matrix at bench
-//! granularity so regressions are attributable per configuration.
+//! This is a quick smoke over a fixed configuration matrix, not the
+//! repo's speed record: fixed-work, repeated and per-layer measurements
+//! come from `perfbench` (see `perfbench/README.md`), which replaces the
+//! retired `hotloop` binary and its `BENCH_hotloop.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -76,9 +76,9 @@ fn hotloop(c: &mut Criterion) {
         }
     }
     // Sim-plane counter overhead: the optimized stepper with telemetry
-    // counting disabled vs the shipped default (on). The pair tracks
-    // the same A/B as `BENCH_hotloop.json`'s `telemetry_overhead` rows;
-    // the two must stay within noise of each other.
+    // counting disabled vs the shipped default (on). perfbench measures
+    // the same A/B as `centurion.sim_telemetry_overhead_pct`; the two
+    // must stay within noise of each other.
     for (load, light) in [("light", true), ("heavy", false)] {
         let model = ModelKind::NoIntelligence;
         group.bench_function(format!("telemetry-off/8x16/{load}"), |b| {

@@ -1,11 +1,10 @@
 //! Shared helpers for the SIRTM benchmark harness.
 //!
-//! Each bench target corresponds to a paper artefact (see DESIGN.md §4):
+//! Each bench target corresponds to a paper artefact:
 //! `table1`, `table2` and `fig4` time the workloads that regenerate the
 //! published tables/figure (scaled down for wall-clock sanity — the
 //! `repro` binary produces the full-size numbers), `micro` times the
-//! substrates, and `ablation` probes the design choices DESIGN.md §7
-//! calls out.
+//! substrates, and `ablation` probes the simulator's own design choices.
 
 use sirtm_core::models::ModelKind;
 use sirtm_experiments::harness::{run_one, ExperimentConfig, RunResult, RunSpec};

@@ -1,4 +1,4 @@
-//! The neighbour-gossip task directory (DESIGN.md R1).
+//! The neighbour-gossip task directory.
 //!
 //! The paper lists "signals from intelligence modules of neighbouring
 //! nodes" among the AIM's monitors. SIRTM turns those neighbour wires into

@@ -298,7 +298,9 @@ impl Platform {
 
     /// Enables or disables the sim-plane counter increments (on by
     /// default). Counting never affects simulation decisions, so this
-    /// only exists to let the hotloop bench A/B the counter overhead.
+    /// only exists to let benchmarks A/B the counter overhead (perfbench's
+    /// `centurion.sim_telemetry_overhead_pct`, and the `hotloop`
+    /// criterion bench's telemetry pair).
     pub fn set_sim_telemetry(&mut self, enabled: bool) {
         self.sim_enabled = enabled;
     }

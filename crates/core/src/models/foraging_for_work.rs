@@ -6,7 +6,7 @@
 //! internally (i.e. accepted for processing by the node), that impulse is
 //! used to reset the task switch timeout."
 //!
-//! SIRTM refines the feed impulse to be *work-proportional* (DESIGN.md):
+//! SIRTM refines the feed impulse to be *work-proportional*:
 //! an accepted packet earns commitment scans proportional to its task's
 //! service time rather than a full rearm, so a node kept alive by a
 //! trickle of light work still starves and forages. Classic

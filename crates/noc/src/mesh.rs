@@ -1,12 +1,35 @@
 //! The mesh fabric: routers wired into a 2-D grid, stepped cycle by cycle.
 //!
-//! [`Mesh::step`] advances the whole network by one clock cycle in two
+//! [`Mesh::step`] advances the whole network by one clock cycle in three
 //! phases: every router first *plans* its crossbar traversals against a
 //! start-of-cycle snapshot of downstream buffer occupancy (credit-based
-//! flow control), then all moves are *applied*. Each input buffer has a
+//! flow control), then all moves are *applied*, then head-of-line
+//! blocking is aged and deadlock recovery runs. Each input buffer has a
 //! single upstream writer and each output port moves at most one flit per
 //! cycle, so the phases cannot conflict and the result is independent of
 //! router iteration order — a requirement for reproducibility.
+//!
+//! # The active set
+//!
+//! A step costs what the fabric is doing, not how big it is. The mesh
+//! keeps a bitset of *active* routers, one bit per router, and all three
+//! phases visit only its set bits, in ascending router order (which keeps
+//! [`Mesh::fresh_delivered`] sorted). The invariant is that the set is a
+//! superset of the routers that have work (a buffered flit or a queued
+//! injection) or blocked-head state still to age. Every way work can
+//! appear marks the router it lands on:
+//!
+//! - [`Mesh::inject`] and [`Mesh::reinject`] mark the source;
+//! - a flit crossing a link at the end of the apply phase marks the
+//!   receiver;
+//! - [`Mesh::router_mut`] marks its router, since the borrow may
+//!   enqueue an injection directly.
+//!
+//! [`Mesh::aim_router_mut`] marks nothing: its contract forbids creating
+//! work. The blocked-ageing phase clears the bit of every router left with
+//! nothing to do, so on a lightly loaded grid the set stays a handful of
+//! routers wide. When a step finds no active router with work, the fabric
+//! is *settled* and later steps are O(1) until the next mark.
 
 use sirtm_taskgraph::{GridDims, TaskId};
 
@@ -73,6 +96,13 @@ pub struct Mesh {
     plans: Vec<RouterPlan>,
     /// Reusable link-transfer staging buffer.
     transfers: Vec<(usize, Direction, Flit)>,
+    /// Neighbour router index per link direction (N, E, S, W order),
+    /// `None` at the grid edge; built once in [`Mesh::new`].
+    neighbours: Vec<[Option<u16>; 4]>,
+    /// The active set: bit `i % 64` of word `i / 64` is router `i`. Always
+    /// a superset of the routers with work or blocked-head state to age
+    /// (see the module docs for the entry points that mark it).
+    active: Vec<u64>,
     /// Nodes that completed a packet delivery during the most recent
     /// [`Mesh::step`], ascending and deduplicated — the platform's
     /// activity-gated delivery pass iterates exactly this set instead of
@@ -101,9 +131,21 @@ impl Mesh {
                 r
             })
             .collect();
+        let neighbours = (0..dims.len())
+            .map(|i| {
+                let (x, y) = dims.xy(i);
+                Direction::ALL.map(|d| {
+                    Coord::new(x, y)
+                        .neighbour(d, dims)
+                        .map(|c| c.node(dims).raw())
+                })
+            })
+            .collect();
         Self {
             plans: vec![RouterPlan::default(); dims.len()],
             transfers: Vec::new(),
+            neighbours,
+            active: vec![0; dims.len().div_ceil(64)],
             fresh_delivered: Vec::with_capacity(dims.len()),
             settled: false,
             aim_writes_enqueued: 0,
@@ -141,15 +183,16 @@ impl Mesh {
 
     /// Mutable access to a router (AIM / debug interface path).
     ///
-    /// Conservatively clears the settled flag: arbitrary router mutation
-    /// (e.g. a direct `enqueue_inject`) may create work, so the next
-    /// [`Mesh::step`] re-runs the full quiescence scan.
+    /// Conservatively clears the settled flag and marks the router
+    /// active: arbitrary router mutation (e.g. a direct `enqueue_inject`)
+    /// may create work, so the next [`Mesh::step`] visits this router.
     ///
     /// # Panics
     ///
     /// Panics if `node` is off-grid.
     pub fn router_mut(&mut self, node: NodeId) -> &mut Router {
         self.settled = false;
+        self.mark_active(node.index());
         &mut self.routers[node.index()]
     }
 
@@ -157,8 +200,9 @@ impl Mesh {
     /// reset-on-read, register-write drains and settings updates. The
     /// caller must not create router *work* through this borrow (no
     /// `enqueue_inject`); in exchange, unlike [`Mesh::router_mut`], the
-    /// settled proof stays intact — an idle fabric keeps its O(1) step
-    /// while the platform's scans run every cycle.
+    /// settled proof stays intact and the router is not marked active —
+    /// an idle fabric keeps its O(1) step while the platform's scans run
+    /// every cycle.
     ///
     /// # Panics
     ///
@@ -202,6 +246,7 @@ impl Mesh {
         self.routers[src.index()].enqueue_inject(pkt);
         self.stats.injected += 1;
         self.settled = false;
+        self.mark_active(src.index());
         id
     }
 
@@ -229,6 +274,7 @@ impl Mesh {
         self.routers[src.index()].enqueue_inject(bounced);
         self.stats.injected += 1;
         self.settled = false;
+        self.mark_active(src.index());
         id
     }
 
@@ -319,18 +365,20 @@ impl Mesh {
         self.is_idle()
     }
 
+    /// Adds router `idx` to the active set.
+    fn mark_active(&mut self, idx: usize) {
+        self.active[idx / 64] |= 1 << (idx % 64);
+    }
+
     /// Whether the link output of `router` in direction `dir` can accept a
-    /// flit this cycle (neighbour exists, both ports enabled, neighbour
-    /// alive, downstream buffer has a free slot).
+    /// flit this cycle: the neighbour exists and is alive, its facing input
+    /// port is enabled and that buffer has a free slot. The router checks
+    /// its own output port enable before asking.
     fn link_credit(&self, router: usize, dir: Direction) -> bool {
-        let from = &self.routers[router];
-        if !from.settings().port_enabled[OutPort::Link(dir).port().index()] {
-            return false;
-        }
-        let Some(n_coord) = from.coord().neighbour(dir, self.dims) else {
+        let Some(n) = self.neighbours[router][dir.index()] else {
             return false;
         };
-        let to = &self.routers[n_coord.node(self.dims).index()];
+        let to = &self.routers[n as usize];
         let in_port = crate::types::Port::from(dir.opposite());
         to.settings().alive
             && to.settings().port_enabled[in_port.index()]
@@ -341,27 +389,28 @@ impl Mesh {
     pub fn step(&mut self) {
         let now = self.cycle;
         self.fresh_delivered.clear();
-        // O(1) fast path: the previous step's scan proved every router
-        // quiescent and nothing has been injected since, so this cycle is
-        // a pure clock tick.
+        // O(1) fast path: the previous step found no router with work and
+        // nothing has been injected since, so this cycle is a pure clock
+        // tick.
         if self.settled {
             self.cycle += 1;
             return;
         }
-        // Phase 1: plan all moves against start-of-cycle state. Quiescent
-        // routers (no buffered flits, nothing to inject) are skipped —
-        // the common case on a lightly loaded grid.
+        // Phase 1: plan every active router's moves against start-of-cycle
+        // state. Active routers without work get an empty plan.
         let mut any_work = false;
-        for idx in 0..self.routers.len() {
-            if !self.routers[idx].has_work() {
-                self.plans[idx].clear();
-                continue;
+        for w in 0..self.active.len() {
+            for idx in set_bits(self.active[w], w) {
+                if !self.routers[idx].has_work() {
+                    self.plans[idx].clear();
+                    continue;
+                }
+                any_work = true;
+                let mut plan = std::mem::take(&mut self.plans[idx]);
+                let credit = |d: Direction| self.link_credit(idx, d);
+                self.routers[idx].plan_into(now, &credit, &mut plan);
+                self.plans[idx] = plan;
             }
-            any_work = true;
-            let mut plan = std::mem::take(&mut self.plans[idx]);
-            let credit = |d: Direction| self.link_credit(idx, d);
-            self.routers[idx].plan_into(now, &credit, &mut plan);
-            self.plans[idx] = plan;
         }
         if !any_work {
             self.settled = true;
@@ -370,76 +419,99 @@ impl Mesh {
         }
         // Phase 2: apply. Pops happen immediately; pushes to neighbour
         // buffers are batched (single writer per buffer, capacity already
-        // checked against the snapshot).
+        // checked against the snapshot). The set cannot grow before the
+        // batch lands, so this visits exactly the routers phase 1 planned.
         self.transfers.clear();
-        for idx in 0..self.routers.len() {
-            if self.plans[idx].is_empty() {
-                continue;
-            }
-            let dims = self.dims;
-            for input in self.plans[idx].consumes() {
-                let router = &mut self.routers[idx];
-                let flit = router.pop_input(input);
-                if flit.is_tail() {
-                    router.clear_dropping(input);
+        for w in 0..self.active.len() {
+            for idx in set_bits(self.active[w], w) {
+                if self.plans[idx].is_empty() {
+                    continue;
                 }
-                router.mark_moved(input);
-            }
-            for m in self.plans[idx].moves() {
-                let router = &mut self.routers[idx];
-                let flit = router.pop_input(m.input);
-                router.commit_move(m, &flit, now);
-                router.mark_moved(m.input);
-                self.stats.flit_hops += 1;
-                match m.output {
-                    OutPort::Link(d) => {
-                        let n_coord = router
-                            .coord()
-                            .neighbour(d, dims)
-                            .expect("planned link move must have a neighbour");
-                        self.transfers
-                            .push((n_coord.node(dims).index(), d.opposite(), flit));
+                for input in self.plans[idx].consumes() {
+                    let router = &mut self.routers[idx];
+                    let flit = router.pop_input(input);
+                    if flit.is_tail() {
+                        router.clear_dropping(input);
                     }
-                    OutPort::Internal => {
-                        if let Some(pkt) = router.receive_internal(flit, now) {
-                            let latency = now.saturating_sub(pkt.created_cycle) + 1;
-                            self.stats.delivered += 1;
-                            self.stats.latency_sum += latency;
-                            self.stats.latency_max = self.stats.latency_max.max(latency);
-                            // Phase 2 walks routers in ascending order, so
-                            // the fresh-delivery list stays sorted.
-                            if self.fresh_delivered.last() != Some(&(idx as u16)) {
-                                self.fresh_delivered.push(idx as u16);
-                            }
+                    router.mark_moved(input);
+                }
+                for m in self.plans[idx].moves() {
+                    let router = &mut self.routers[idx];
+                    let flit = router.pop_input(m.input);
+                    router.commit_move(m, &flit, now);
+                    router.mark_moved(m.input);
+                    self.stats.flit_hops += 1;
+                    match m.output {
+                        OutPort::Link(d) => {
+                            let to = self.neighbours[idx][d.index()]
+                                .expect("planned link move must have a neighbour");
+                            self.transfers.push((to as usize, d.opposite(), flit));
                         }
-                    }
-                    OutPort::Rcap => {
-                        if let Flit::Head { pkt, .. } = flit {
-                            if let PacketKind::Config(cmd) = pkt.kind {
-                                if matches!(cmd, RcapCommand::AimWrite { .. }) {
-                                    self.aim_writes_enqueued += 1;
+                        OutPort::Internal => {
+                            if let Some(pkt) = router.receive_internal(flit, now) {
+                                let latency = now.saturating_sub(pkt.created_cycle) + 1;
+                                self.stats.delivered += 1;
+                                self.stats.latency_sum += latency;
+                                self.stats.latency_max = self.stats.latency_max.max(latency);
+                                // Routers are visited in ascending order, so
+                                // the fresh-delivery list stays sorted.
+                                if self.fresh_delivered.last() != Some(&(idx as u16)) {
+                                    self.fresh_delivered.push(idx as u16);
                                 }
-                                router.apply_config(cmd);
                             }
-                            self.stats.config_consumed += 1;
+                        }
+                        OutPort::Rcap => {
+                            if let Flit::Head { pkt, .. } = flit {
+                                if let PacketKind::Config(cmd) = pkt.kind {
+                                    if matches!(cmd, RcapCommand::AimWrite { .. }) {
+                                        self.aim_writes_enqueued += 1;
+                                    }
+                                    router.apply_config(cmd);
+                                }
+                                self.stats.config_consumed += 1;
+                            }
                         }
                     }
                 }
             }
         }
-        for &(to, dir_in, flit) in &self.transfers {
+        for k in 0..self.transfers.len() {
+            let (to, dir_in, flit) = self.transfers[k];
             self.routers[to].accept_link_flit(dir_in, flit);
+            self.mark_active(to);
         }
-        // Phase 3: head-of-line blocking accounting and deadlock recovery.
-        for router in &mut self.routers {
-            if router.has_work() || router.needs_blocked_update() {
-                let dropped = router.update_blocked_and_recover_marked();
-                self.stats.dropped += dropped;
+        // Phase 3: head-of-line blocking accounting and deadlock recovery
+        // (a no-op on a router with nothing to age), then drop every
+        // router left with nothing to do from the set.
+        for w in 0..self.active.len() {
+            for idx in set_bits(self.active[w], w) {
+                let router = &mut self.routers[idx];
+                self.stats.dropped += router.update_blocked_and_recover_marked();
+                if !(router.has_work() || router.needs_blocked_update()) {
+                    self.active[w] &= !(1 << (idx % 64));
+                }
             }
         }
         self.cycle += 1;
     }
 }
+
+/// Router indices of the set bits of active-set word `w`, ascending.
+fn set_bits(mut word: u64, w: usize) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            w * 64 + bit
+        })
+    })
+}
+
+/// The seeded traffic the golden-trace integration test pins, shared so
+/// the active-set invariant is checked under exactly that traffic.
+#[cfg(test)]
+#[path = "../tests/common/traffic.rs"]
+mod traffic;
 
 #[cfg(test)]
 mod tests {
@@ -449,6 +521,84 @@ mod tests {
 
     fn mesh() -> Mesh {
         Mesh::new(GridDims::new(4, 4), crate::router::RouterConfig::default())
+    }
+
+    fn is_active(m: &Mesh, idx: usize) -> bool {
+        m.active[idx / 64] & (1 << (idx % 64)) != 0
+    }
+
+    fn needs_visit(r: &Router) -> bool {
+        r.has_work() || r.needs_blocked_update()
+    }
+
+    /// The step's invariant: every router with work or blocked-head state
+    /// to age is in the active set.
+    fn assert_superset(m: &Mesh, case: &str, when: &str) {
+        for (idx, r) in m.routers.iter().enumerate() {
+            assert!(
+                !needs_visit(r) || is_active(m, idx),
+                "{case} cycle {} {when}: router {idx} has work but is not active",
+                m.cycle()
+            );
+        }
+    }
+
+    #[test]
+    fn active_set_covers_every_router_with_work() {
+        for case in &super::traffic::CASES {
+            let mut stepped = 0u64;
+            super::traffic::drive(
+                case,
+                |m| assert_superset(m, case.name, "before step"),
+                |m, _| {
+                    assert_superset(m, case.name, "after step");
+                    if !m.is_settled_idle() {
+                        // A working step leaves the set exact: the ageing
+                        // phase dropped every router with nothing to do.
+                        for (idx, r) in m.routers.iter().enumerate() {
+                            assert_eq!(
+                                is_active(m, idx),
+                                needs_visit(r),
+                                "{} router {idx}",
+                                case.name
+                            );
+                        }
+                    }
+                    stepped += 1;
+                },
+            );
+            assert_eq!(stepped, case.cycles);
+        }
+    }
+
+    #[test]
+    fn router_mut_enqueue_wakes_a_settled_mesh() {
+        let mut m = mesh();
+        m.step();
+        assert!(m.is_settled_idle());
+        assert!(m.active.iter().all(|&w| w == 0));
+        let pkt = Packet {
+            id: PacketId::new(7),
+            src: NodeId::new(5),
+            dest: NodeId::new(6),
+            task: TaskId::new(0),
+            kind: PacketKind::Data,
+            payload_flits: 1,
+            created_cycle: 0,
+            bounces: 0,
+        };
+        m.router_mut(NodeId::new(5)).enqueue_inject(pkt);
+        assert!(!m.is_settled_idle());
+        assert_superset(&m, "4x4", "after enqueue_inject");
+        for _ in 0..20 {
+            m.step();
+            assert_superset(&m, "4x4", "after step");
+        }
+        assert_eq!(m.take_delivered(NodeId::new(6)), vec![pkt]);
+        assert!(
+            m.active.iter().all(|&w| w == 0),
+            "a drained fabric leaves the set empty"
+        );
     }
 
     #[test]

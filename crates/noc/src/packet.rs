@@ -61,7 +61,7 @@ pub enum RcapCommand {
     /// Set the head-of-line blocking timeout for deadlock recovery.
     SetDeadlockTimeout(Cycle),
     /// Set the age after which packets may be absorbed by any node whose
-    /// task matches (task-affine opportunistic delivery, DESIGN.md R3).
+    /// task matches (task-affine opportunistic delivery).
     SetRedirectAge(Cycle),
     /// Enable or disable opportunistic delivery altogether.
     SetOpportunisticDelivery(bool),
@@ -104,7 +104,7 @@ impl PacketKind {
 /// Packets are *task-addressed* at the application level (the `task` field
 /// names the destination task, and is what router monitors report to the
 /// AIM) but carry a concrete destination node resolved by the sender from
-/// its gossip directory (DESIGN.md R1).
+/// its gossip directory (`sirtm_centurion::directory`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Packet {
     /// Unique id, assigned at injection.

@@ -86,7 +86,7 @@ pub struct RouterSettings {
     /// Task the local processing element currently performs. Used for
     /// task-affine opportunistic delivery and read by neighbouring AIMs.
     pub local_task: Option<TaskId>,
-    /// Enables task-affine opportunistic delivery (DESIGN.md R3).
+    /// Enables task-affine opportunistic delivery.
     pub opportunistic_delivery: bool,
     /// Minimum packet age before opportunistic absorption may happen.
     pub redirect_age: Cycle,
@@ -587,23 +587,17 @@ impl Router {
 
     /// Whether `output` could be granted to a *new* head this cycle.
     fn output_available(&self, output: OutPort, credit: &dyn Fn(Direction) -> bool) -> bool {
-        if self.out_alloc[output.index()].is_some() {
-            return false;
-        }
-        match output {
-            OutPort::Link(d) => self.settings.port_enabled[Port::from(d).index()] && credit(d),
-            OutPort::Internal => self.settings.port_enabled[Port::Internal.index()],
-            OutPort::Rcap => self.settings.port_enabled[Port::Rcap.index()],
-        }
+        self.out_alloc[output.index()].is_none() && self.output_flowing(output, credit)
     }
 
     /// Whether an already-allocated circuit over `output` can advance.
+    /// Credit is probed only once the port itself is enabled.
     fn output_flowing(&self, output: OutPort, credit: &dyn Fn(Direction) -> bool) -> bool {
-        match output {
-            OutPort::Link(d) => self.settings.port_enabled[Port::from(d).index()] && credit(d),
-            OutPort::Internal => self.settings.port_enabled[Port::Internal.index()],
-            OutPort::Rcap => self.settings.port_enabled[Port::Rcap.index()],
-        }
+        self.settings.port_enabled[output.port().index()]
+            && match output {
+                OutPort::Link(d) => credit(d),
+                OutPort::Internal | OutPort::Rcap => true,
+            }
     }
 
     /// Whether any flit or queued packet could possibly move this cycle —
@@ -619,6 +613,12 @@ impl Router {
     /// plan in phase 2. Public so the bench harness can time the planning
     /// phase in isolation; `credit` answers whether a link output can
     /// accept a flit.
+    ///
+    /// Each input is planned once: a flowing circuit asks only about its
+    /// own output, and each new head settles on its first available
+    /// preference before outputs arbitrate. Availability reads only
+    /// start-of-cycle state, which planning never changes, so a head's
+    /// choice does not depend on the order outputs are visited in.
     pub fn plan_into(&self, now: Cycle, credit: &dyn Fn(Direction) -> bool, plan: &mut RouterPlan) {
         plan.clear();
         if !self.settings.alive {
@@ -636,6 +636,23 @@ impl Router {
                 }
             }
         }
+        // The output each new head (an input with no circuit and nothing
+        // to discard) would take: its first available preference.
+        let mut wants: [Option<OutPort>; 5] = [None; 5];
+        for i in InPort::ALL {
+            let k = i.index();
+            if self.circuits[k].is_some() || self.dropping[k].is_some() {
+                continue;
+            }
+            let Some(Flit::Head { pkt, .. }) = self.head_flit(i) else {
+                continue;
+            };
+            wants[k] = self
+                .preferences(&pkt, now)
+                .into_iter()
+                .flatten()
+                .find(|&p| self.output_available(p, credit));
+        }
         const OUTPUTS: [OutPort; 6] = [
             OutPort::Link(Direction::North),
             OutPort::Link(Direction::East),
@@ -647,58 +664,28 @@ impl Router {
         for o in OUTPUTS {
             if let Some(i) = self.out_alloc[o.index()] {
                 // Active circuit: advance it if the downstream can accept.
-                if granted[i.index()] {
-                    continue;
-                }
-                if self.head_flit(i).is_some() && self.output_flowing(o, credit) {
+                if !granted[i.index()]
+                    && self.head_flit(i).is_some()
+                    && self.output_flowing(o, credit)
+                {
                     plan.push_move(Move {
                         input: i,
                         output: o,
                     });
-                    granted[i.index()] = true;
                 }
                 continue;
             }
-            if !self.output_available(o, credit) {
-                continue;
-            }
-            // New heads compete for this output.
-            let mut candidate = [false; 5];
-            let mut any = false;
-            for i in InPort::ALL {
-                if granted[i.index()]
-                    || self.circuits[i.index()].is_some()
-                    || self.dropping[i.index()].is_some()
-                {
-                    continue;
-                }
-                let Some(Flit::Head { pkt, .. }) = self.head_flit(i) else {
-                    continue;
-                };
-                let prefs = self.preferences(&pkt, now);
-                let first_available = prefs
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .find(|&p| self.output_available(p, credit));
-                if first_available == Some(o) {
-                    candidate[i.index()] = true;
-                    any = true;
-                }
-            }
-            if !any {
-                continue;
-            }
+            // New heads wanting this output compete round-robin.
             let start = self.rr[o.index()] as usize;
-            let pick = (0..5)
+            if let Some(pick) = (0..5)
                 .map(|k| (start + k) % 5)
-                .find(|&idx| candidate[idx])
-                .expect("at least one candidate exists");
-            plan.push_move(Move {
-                input: InPort::ALL[pick],
-                output: o,
-            });
-            granted[pick] = true;
+                .find(|&k| wants[k] == Some(o))
+            {
+                plan.push_move(Move {
+                    input: InPort::ALL[pick],
+                    output: o,
+                });
+            }
         }
     }
 
@@ -807,8 +794,11 @@ impl Router {
 
     /// Whether the blocked-counter pass still has state to age out even
     /// though no flits are buffered (cheap check for the idle fast path).
+    /// A dead router has none: the pass never ages it, so its counters
+    /// stay frozen where the kill left them.
     pub(crate) fn needs_blocked_update(&self) -> bool {
-        self.blocked.iter().any(|&b| b > 0) || self.moved.iter().any(|&m| m)
+        self.settings.alive
+            && (self.blocked.iter().any(|&b| b > 0) || self.moved.iter().any(|&m| m))
     }
 
     /// Phase-3 bookkeeping: advances blocked counters for stalled heads
