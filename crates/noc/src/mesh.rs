@@ -123,7 +123,7 @@ pub struct Mesh {
 impl Mesh {
     /// Builds a mesh of `dims` routers, all using `config`.
     pub fn new(dims: GridDims, config: RouterConfig) -> Self {
-        let routers = (0..dims.len())
+        let routers: Vec<Router> = (0..dims.len())
             .map(|i| {
                 let (x, y) = dims.xy(i);
                 let mut r = Router::new(NodeId::new(i as u16), Coord::new(x, y), &config);
@@ -131,14 +131,10 @@ impl Mesh {
                 r
             })
             .collect();
-        let neighbours = (0..dims.len())
-            .map(|i| {
-                let (x, y) = dims.xy(i);
-                Direction::ALL.map(|d| {
-                    Coord::new(x, y)
-                        .neighbour(d, dims)
-                        .map(|c| c.node(dims).raw())
-                })
+        let neighbours = routers
+            .iter()
+            .map(|r| {
+                Direction::ALL.map(|d| r.coord().neighbour(d, dims).map(|c| c.node(dims).raw()))
             })
             .collect();
         Self {
