@@ -1,10 +1,14 @@
-//! Shared helpers for the SIRTM benchmark harness.
+//! Shared helpers for the SIRTM criterion benches.
 //!
-//! Each bench target corresponds to a paper artefact:
-//! `table1`, `table2` and `fig4` time the workloads that regenerate the
-//! published tables/figure (scaled down for wall-clock sanity — the
-//! `repro` binary produces the full-size numbers), `micro` times the
-//! substrates, and `ablation` probes the simulator's own design choices.
+//! These targets time what the fixed-work benchmark (`perfbench/`, the
+//! repo's one speed record) does not cover: `micro` times the
+//! substrates in isolation (CI runs it as a quick smoke), `colony` and
+//! `thermal` the colony and thermal models, `table1`, `table2` and
+//! `fig4` the workloads that regenerate the published tables/figure
+//! (scaled down for wall-clock sanity — the `repro` binary produces the
+//! full-size numbers), and `ablation` probes the simulator's own design
+//! choices. End-to-end and per-layer speed of the scenario, sweep,
+//! shard and dispatch stack is measured by perfbench's workloads.
 
 use sirtm_core::models::ModelKind;
 use sirtm_experiments::harness::{run_one, ExperimentConfig, RunResult, RunSpec};

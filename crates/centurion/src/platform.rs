@@ -298,9 +298,8 @@ impl Platform {
 
     /// Enables or disables the sim-plane counter increments (on by
     /// default). Counting never affects simulation decisions, so this
-    /// only exists to let benchmarks A/B the counter overhead (perfbench's
-    /// `centurion.sim_telemetry_overhead_pct`, and the `hotloop`
-    /// criterion bench's telemetry pair).
+    /// only exists to let perfbench A/B the counter overhead
+    /// (`centurion.sim_telemetry_overhead_pct`).
     pub fn set_sim_telemetry(&mut self, enabled: bool) {
         self.sim_enabled = enabled;
     }

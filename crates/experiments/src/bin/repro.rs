@@ -38,7 +38,8 @@ fn parse_args() -> Args {
                 args.runs = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--runs needs a number"));
+                    .filter(|n| *n > 0)
+                    .unwrap_or_else(|| die("--runs needs a positive number of runs"));
             }
             "--seed" => {
                 args.seed = it
@@ -64,6 +65,12 @@ fn die(msg: &str) -> ! {
         "usage: repro [table1|table2|fig4|graph|thermal|all] [--runs N] [--seed S] [--out DIR]"
     );
     std::process::exit(2);
+}
+
+/// Dies unless a paper artefact reached disk: a reproduction that
+/// silently lost its CSV has not reproduced anything.
+fn written<T>(what: &str, result: std::io::Result<T>) -> T {
+    result.unwrap_or_else(|e| die(&format!("cannot write the {what} CSV: {e}")))
 }
 
 fn print_graph() {
@@ -110,16 +117,18 @@ fn main() {
         "table1" => {
             let t = table1::run(&cfg);
             println!("{}", table1::render(&t));
-            if let Err(e) = table1::write_csv(&t, &args.out.join("table1.csv")) {
-                eprintln!("repro: CSV write failed: {e}");
-            }
+            written(
+                "Table I",
+                table1::write_csv(&t, &args.out.join("table1.csv")),
+            );
         }
         "table2" => {
             let t = table2::run(&cfg);
             println!("{}", table2::render(&t));
-            if let Err(e) = table2::write_csv(&t, &args.out.join("table2.csv")) {
-                eprintln!("repro: CSV write failed: {e}");
-            }
+            written(
+                "Table II",
+                table2::write_csv(&t, &args.out.join("table2.csv")),
+            );
         }
         "fig4" => {
             let f = fig4::run(
@@ -130,14 +139,9 @@ fn main() {
                 args.seed,
             );
             println!("{}", fig4::render(&f, 80));
-            match fig4::write_csvs(&f, &args.out) {
-                Ok(files) => {
-                    println!("\nCSV series written:");
-                    for f in files {
-                        println!("  {}", f.display());
-                    }
-                }
-                Err(e) => eprintln!("repro: CSV write failed: {e}"),
+            println!("\nCSV series written:");
+            for path in written("Fig. 4", fig4::write_csvs(&f, &args.out)) {
+                println!("  {}", path.display());
             }
         }
         "thermal" => {
@@ -148,10 +152,16 @@ fn main() {
             print_graph();
             let t1 = table1::run(&cfg);
             println!("\n{}", table1::render(&t1));
-            let _ = table1::write_csv(&t1, &args.out.join("table1.csv"));
+            written(
+                "Table I",
+                table1::write_csv(&t1, &args.out.join("table1.csv")),
+            );
             let t2 = table2::run(&cfg);
             println!("\n{}", table2::render(&t2));
-            let _ = table2::write_csv(&t2, &args.out.join("table2.csv"));
+            written(
+                "Table II",
+                table2::write_csv(&t2, &args.out.join("table2.csv")),
+            );
             let f = fig4::run(
                 &ExperimentConfig {
                     window_ms: 10.0,
@@ -160,10 +170,8 @@ fn main() {
                 args.seed,
             );
             println!("{}", fig4::render(&f, 80));
-            if let Ok(files) = fig4::write_csvs(&f, &args.out) {
-                println!("\nCSV series written under {}", args.out.display());
-                let _ = files;
-            }
+            written("Fig. 4", fig4::write_csvs(&f, &args.out));
+            println!("\nCSV series written under {}", args.out.display());
         }
         other => die(&format!("unknown command `{other}`")),
     }

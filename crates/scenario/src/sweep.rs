@@ -226,7 +226,8 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first missing or malformed field.
+    /// Returns a description of the first missing or malformed field,
+    /// or of a descriptor that expands to zero runs.
     pub fn from_json(v: &Json) -> Result<Self, String> {
         let name = v
             .get("name")
@@ -246,7 +247,12 @@ impl SweepSpec {
         let replicates = v
             .get("replicates")
             .and_then(Json::as_num)
-            .ok_or("sweep missing `replicates`")? as usize;
+            .ok_or("sweep missing `replicates`")?;
+        if replicates < 1.0 || replicates > u32::MAX as f64 || replicates.fract() != 0.0 {
+            return Err(format!(
+                "`replicates` must be a positive integer, got {replicates}"
+            ));
+        }
         let seeds = v.get("seeds").ok_or("sweep missing `seeds`")?;
         let seeds = match seeds.get("scheme").and_then(Json::as_str) {
             Some("sequential") => SeedScheme::Sequential {
@@ -257,13 +263,17 @@ impl SweepSpec {
             },
             _ => return Err("`seeds.scheme` must be `sequential` or `derived`".to_string()),
         };
-        Ok(Self {
+        let sweep = Self {
             name,
             base,
             axes,
-            replicates,
+            replicates: replicates as usize,
             seeds,
-        })
+        };
+        if sweep.run_count() == 0 {
+            return Err("sweep expands to zero runs (an axis has no values)".to_string());
+        }
+        Ok(sweep)
     }
 
     /// Parses a sweep descriptor from JSON text.
@@ -915,6 +925,25 @@ mod tests {
                     "duration_ms": 60}, "replicates": 1, "axes": [{"axis": "warp"}],
                     "seeds": {"scheme": "derived", "root": "7"}}"#,
                 "axis",
+            ),
+            (
+                r#"{"name": "x", "base": {"name": "b", "grid": [4,4], "model": "ffw",
+                    "duration_ms": 60}, "replicates": 0,
+                    "seeds": {"scheme": "derived", "root": "7"}}"#,
+                "positive integer",
+            ),
+            (
+                r#"{"name": "x", "base": {"name": "b", "grid": [4,4], "model": "ffw",
+                    "duration_ms": 60}, "replicates": -5,
+                    "seeds": {"scheme": "derived", "root": "7"}}"#,
+                "positive integer",
+            ),
+            (
+                r#"{"name": "x", "base": {"name": "b", "grid": [4,4], "model": "ffw",
+                    "duration_ms": 60}, "replicates": 2,
+                    "axes": [{"axis": "model", "values": []}],
+                    "seeds": {"scheme": "derived", "root": "7"}}"#,
+                "zero runs",
             ),
         ] {
             let err = SweepSpec::from_json_text(text).expect_err("must fail");
